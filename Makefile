@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-fo bench-query bench-cluster bench-restart bench-ingest bench-modes bench-modes-smoke bench-longitudinal bench-longitudinal-smoke bench-megadomain bench-megadomain-smoke bench-smoke chaos-cluster chaos-archive chaos-failover chaos-idle chaos-longitudinal
+.PHONY: build test check bench bench-fo bench-query bench-cluster bench-restart bench-ingest bench-modes bench-modes-smoke bench-longitudinal bench-longitudinal-smoke bench-megadomain bench-megadomain-smoke bench-smoke chaos-cluster chaos-archive chaos-failover chaos-idle chaos-longitudinal perfbench-check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,12 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+
+# The benchmark harness is its own module (perfbench/go.mod), so `go test ./...`
+# at the root skips it; it builds against this module's packages, so vet and
+# test it here.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Aggregation-kernel benchmark: fold kernel vs sequential baseline, plus an
 # end-to-end round, written to BENCH_PR2.json.

@@ -242,90 +242,11 @@ func main() {
 	}
 
 	if segs != nil {
-		// /v1/nextround opens a fresh segment for each new collection round.
-		srv.SetWALFactory(func(round int) (*reportlog.Log, error) {
-			l, recs, err := segs.Open(round)
-			if err != nil {
-				return nil, err
-			}
-			if len(recs) > 0 {
-				l.Close()
-				return nil, fmt.Errorf("segment %s already has %d records; refusing to reuse it for a new round", segs.Path(round), len(recs))
-			}
-			return l, nil
-		})
-		if restored > 0 {
-			// Only the tail segments past the snapshot remain; replay them in
-			// order. MarkDurable first: with no tail at all, the next round
-			// must still open a segment.
-			srv.MarkDurable()
-			rounds, err := segs.Existing()
-			if err != nil {
-				log.Fatal("felipserver: ", err)
-			}
-			expect := restored + 1
-			for _, round := range rounds {
-				if round <= restored {
-					continue // covered by the snapshot; truncation is retried at the next finalize
-				}
-				if round != expect {
-					log.Fatalf("felipserver: wal segment chain has a gap: expected round %d, found %s", expect, segs.Path(round))
-				}
-				l, recs, err := segs.Open(round)
-				if err != nil {
-					log.Fatal("felipserver: ", err)
-				}
-				if _, err := srv.ResumeNextRound(l, recs); err != nil {
-					log.Fatal("felipserver: ", err)
-				}
-				log.Printf("felipserver: resumed round %d (%d WAL records from %s)", round, len(recs), segs.Path(round))
-				expect++
-			}
-		} else {
-			// A shard that joined the cluster mid-deployment starts in its join
-			// round, and on a restart its segment chain starts wherever it
-			// joined — open the chain from its actual first round.
-			firstRound := joined
-			if rounds, err := segs.Existing(); err != nil {
-				log.Fatal("felipserver: ", err)
-			} else if len(rounds) > 0 {
-				firstRound = rounds[0]
-			}
-			if firstRound > 1 {
-				if err := srv.BeginAtRound(firstRound); err != nil {
-					log.Fatal("felipserver: ", err)
-				}
-			}
-			l, recs, err := segs.Open(firstRound)
-			if err != nil {
-				log.Fatal("felipserver: ", err)
-			}
-			if err := srv.UseWAL(l, recs); err != nil {
-				log.Fatal("felipserver: ", err)
-			}
-			if len(recs) > 0 {
-				log.Printf("felipserver: replayed %d WAL records from %s", len(recs), segs.Path(firstRound))
-			} else {
-				log.Printf("felipserver: opened fresh WAL at %s", segs.Path(firstRound))
-			}
-			// Replay any later segments left by /v1/nextround before the restart.
-			for round := firstRound + 1; ; round++ {
-				if _, err := os.Stat(segs.Path(round)); err != nil {
-					break
-				}
-				l, recs, err := segs.Open(round)
-				if err != nil {
-					log.Fatal("felipserver: ", err)
-				}
-				if _, err := srv.ResumeNextRound(l, recs); err != nil {
-					log.Fatal("felipserver: ", err)
-				}
-				log.Printf("felipserver: resumed round %d (%d WAL records from %s)", round, len(recs), segs.Path(round))
-			}
-		}
-		// Followers replicate the segment chain over /v1/replica/wal.
-		srv.SetSegments(segs)
-		if err := srv.WarmupServing(); err != nil {
+		// Replay the chain — only the tail past a restored snapshot — and keep
+		// appending to it; /v1/nextround opens a fresh segment for each new
+		// collection round. A shard that joined mid-deployment starts in its
+		// join round.
+		if _, err := srv.ReplaySegments(segs, joined); err != nil {
 			log.Fatal("felipserver: ", err)
 		}
 		if *archDir != "" {

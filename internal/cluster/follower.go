@@ -255,18 +255,15 @@ func (f *Follower) Promote(targetRound int) (wire.PromoteResponse, error) {
 	if err != nil {
 		return wire.PromoteResponse{}, err
 	}
-	replayed := 0
 	for _, round := range rounds {
 		raw, err := os.ReadFile(f.segs.Path(round))
 		if err != nil {
 			return wire.PromoteResponse{}, err
 		}
-		recs, err := reportlog.VerifySegment(raw)
-		if err != nil {
+		if _, err := reportlog.VerifySegment(raw); err != nil {
 			return wire.PromoteResponse{}, fmt.Errorf("cluster: refusing promotion: segment %s failed verification: %w",
 				f.segs.Path(round), err)
 		}
-		replayed += len(recs)
 	}
 
 	srv, err := httpapi.NewServer(f.cfg.Schema, f.cfg.N, f.cfg.Opts)
@@ -275,70 +272,17 @@ func (f *Follower) Promote(targetRound int) (wire.PromoteResponse, error) {
 	}
 	srv.SetLogger(f.logf)
 	srv.SetShardID(f.cfg.Name)
-	srv.SetSegments(f.segs)
-	srv.SetWALFactory(func(round int) (*reportlog.Log, error) {
-		l, recs, err := f.segs.Open(round)
-		if err != nil {
-			return nil, err
-		}
-		if len(recs) > 0 {
-			l.Close()
-			return nil, fmt.Errorf("segment %s already has %d records; refusing to reuse it for a new round",
-				f.segs.Path(round), len(recs))
-		}
-		return l, nil
-	})
-
-	// Replay the chain like a restarted primary: the first segment attaches
-	// via UseWAL, each later one via the idempotent resume. A shard that
-	// joined mid-deployment has no segments for the earlier rounds — the
-	// server fast-forwards to its first round before replay.
-	first := f.round
-	if len(rounds) > 0 {
-		first = rounds[0]
-	}
-	if first > 1 {
-		if err := srv.BeginAtRound(first); err != nil {
-			return wire.PromoteResponse{}, err
-		}
-	}
-	expect := first
-	for i, round := range rounds {
-		if round != expect {
-			return wire.PromoteResponse{}, fmt.Errorf("cluster: refusing promotion: shipped chain has a gap: expected round %d, found %s",
-				expect, f.segs.Path(round))
-		}
-		l, recs, err := f.segs.Open(round)
-		if err != nil {
-			return wire.PromoteResponse{}, err
-		}
-		if i == 0 {
-			err = srv.UseWAL(l, recs)
-		} else {
-			_, err = srv.ResumeNextRound(l, recs)
-		}
-		if err != nil {
-			return wire.PromoteResponse{}, fmt.Errorf("cluster: replaying shipped segment %s: %w", f.segs.Path(round), err)
-		}
-		expect++
-	}
-	if len(rounds) == 0 {
-		// Nothing was ever shipped (the primary died before its first report):
-		// take over as a fresh durable shard in the cursor round.
-		l, recs, err := f.segs.Open(first)
-		if err != nil {
-			return wire.PromoteResponse{}, err
-		}
-		if err := srv.UseWAL(l, recs); err != nil {
-			return wire.PromoteResponse{}, err
-		}
+	// Replay the chain like a restarted primary. A shard that joined
+	// mid-deployment has no segments for the earlier rounds; with nothing
+	// shipped at all (the primary died before its first report) the server
+	// takes over as a fresh durable shard in the cursor round.
+	replayed, err := srv.ReplaySegments(f.segs, f.round)
+	if err != nil {
+		return wire.PromoteResponse{}, fmt.Errorf("cluster: refusing promotion: %w", err)
 	}
 	if targetRound != 0 && srv.Round() != targetRound {
 		return wire.PromoteResponse{}, fmt.Errorf("cluster: refusing promotion: replayed chain ends in round %d, cluster is in round %d",
 			srv.Round(), targetRound)
-	}
-	if err := srv.WarmupServing(); err != nil {
-		return wire.PromoteResponse{}, err
 	}
 
 	f.promoted = srv

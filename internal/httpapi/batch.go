@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"sync"
 
-	"felip/internal/core"
-	"felip/internal/fo"
 	"felip/internal/reportlog"
 	"felip/internal/wire"
 )
@@ -41,38 +39,22 @@ var batchBodyPool = sync.Pool{
 	},
 }
 
-// stagedReport is one frame report that passed every admission check and
-// awaits the frame's single WAL write.
-type stagedReport struct {
-	id  string
-	key reportKey
-	rep core.Report
-	// bytes is the report's share of the frame — its record's encoded size,
-	// excluding the frame header — charged to the per-protocol wire counter
-	// only if the whole frame lands.
-	bytes int
-}
-
-// batchScratch is the batch ingest path's reusable per-server scratch. It is
-// only touched while s.mu is held, so one set of buffers serves every
-// request without per-report allocations.
+// batchScratch is the frame path's reusable per-server scratch. It is only
+// touched while s.mu is held, so one set of buffers serves every request
+// without per-report allocations.
 type batchScratch struct {
 	reader wire.FrameReader
-	staged []stagedReport
-	// seen maps a report_id staged earlier in this frame to its staged index,
-	// so within-frame duplicates get the same duplicate/conflict answer as
-	// cross-request retries.
-	seen map[string]int
-	recs []reportlog.Record
+	cands  []candidate
+	recs   []reportlog.Record
 }
 
 // IngestFrame ingests one binary batch frame and returns the per-report
-// dispositions. A frame-level refusal (damage, malformed records, a closed
-// server, a failed WAL write) returns a non-nil error with the HTTP status
-// to answer; the whole frame is charged to the wire-rejection counter per
-// report, and no report of the frame was counted. On success every report
-// was classified exactly as the single-report path would have and the
-// accepted ones are durable.
+// dispositions. A frame-level refusal (damage, a malformed record, a foreign
+// mode, a closed server, a failed WAL write) returns a non-nil error with the
+// HTTP status to answer, and no report of the frame was counted; envelope
+// refusals charge the wire-rejection counter once per claimed report. On
+// success every report was classified by admitLocked exactly as the
+// single-report path classifies it, and the accepted ones are durable.
 //
 // Exported so the benchmark harness can drive the decode→dedup→fold path
 // directly and meter its allocations.
@@ -82,156 +64,51 @@ func (s *Server) IngestFrame(frame []byte) (wire.BatchReportResponse, int, error
 	s.mu.Lock()
 	b := &s.batch
 	n, err := b.reader.Reset(frame)
-	if err != nil {
-		s.wireRejected += wire.FrameReportCount(frame)
-		s.modeRejected[s.mode.String()] += wire.FrameReportCount(frame)
-		s.mu.Unlock()
-		return resp, http.StatusBadRequest, err
-	}
-	if s.longitudinal != nil {
+	charge := s.mode
+	switch {
+	case err != nil:
+		n = wire.FrameReportCount(frame)
+	case s.longitudinal != nil:
 		// The binary frame format has no longitudinal marker, so a frame can
 		// only ever carry one-shot reports — and a longitudinal round must not
 		// fold those: they were perturbed through a different channel than the
-		// round's two-stage chain inverts. Refuse the frame wholesale; the
-		// longitudinal path is the single-report JSON endpoint.
-		s.wireRejected += n
-		s.modeRejected[s.mode.String()] += n
-		s.mu.Unlock()
-		return resp, http.StatusBadRequest,
-			fmt.Errorf("the round's plan is longitudinal; batch frames carry one-shot reports only — use POST /v1/report")
-	}
-	if b.reader.Mode != s.mode {
-		// A frame claims its mode once for all its reports; a foreign-mode
-		// frame is refused wholesale — its reports were perturbed under a
-		// different budget and none of them can be folded here.
-		s.wireRejected += n
-		s.modeRejected[b.reader.Mode.String()] += n
-		s.mu.Unlock()
-		return resp, http.StatusBadRequest,
-			fmt.Errorf("frame claims mode %v; the round's plan runs %v", b.reader.Mode, s.mode)
-	}
-	if s.closed {
-		s.mu.Unlock()
-		return resp, http.StatusServiceUnavailable, fmt.Errorf("server shutting down")
-	}
-
-	b.staged = b.staged[:0]
-	if b.seen == nil {
-		b.seen = make(map[string]int)
-	} else {
-		clear(b.seen)
-	}
-	dispositions := make([]int, 0, n)
-	closedRound := s.agg != nil || s.finalizing != nil || s.shardState != nil || s.sealedEmpty
-
-	// Pass 1 — classify every report without mutating round state, so a
-	// malformed record discovered mid-frame can still refuse the whole frame
-	// with nothing counted.
-	for b.reader.Next() {
-		disp := 0
-		rep := b.reader.Report
-		key := reportKey{
-			group: rep.Group,
-			proto: wire.ProtoName(rep.Proto),
-			value: rep.Value,
-			seed:  rep.Seed,
+		// round's two-stage chain inverts. The longitudinal path is the
+		// single-report JSON endpoint.
+		err = fmt.Errorf("the round's plan is longitudinal; batch frames carry one-shot reports only — use POST /v1/report")
+	case b.reader.Mode != s.mode:
+		// A frame claims its mode once for all its reports; its reports were
+		// perturbed under a different budget and none of them can be folded.
+		charge = b.reader.Mode
+		err = fmt.Errorf("frame claims mode %v; the round's plan runs %v", b.reader.Mode, s.mode)
+	default:
+		// Decode the whole frame before classifying anything: a record that
+		// lies inside a valid envelope (a buggy or hostile encoder) refuses
+		// the frame with nothing classified, counted or charged twice. IDs
+		// stay sub-slices of the frame until admitLocked accepts them.
+		b.cands = b.cands[:0]
+		for b.reader.Next() {
+			b.cands = append(b.cands, candidate{
+				id:    b.reader.ID,
+				rep:   b.reader.Report,
+				attr:  b.reader.Attr,
+				bytes: b.reader.RecordBytes(),
+			})
 		}
-		if prev, dup := s.dedup[string(b.reader.ID)]; dup {
-			if prev == key {
-				disp = wire.DispositionDuplicate
-			} else {
-				disp = wire.DispositionConflict
-				s.wireRejected++
-				s.modeRejected[s.mode.String()]++
-			}
-		} else if j, dup := b.seen[string(b.reader.ID)]; dup {
-			if b.staged[j].key == key {
-				disp = wire.DispositionDuplicate
-			} else {
-				disp = wire.DispositionConflict
-				s.wireRejected++
-				s.modeRejected[s.mode.String()]++
-			}
-		} else if closedRound {
-			disp = wire.DispositionConflict
-		} else if err := s.col.Check(rep); err != nil {
-			if errors.Is(err, core.ErrFinalized) {
-				disp = wire.DispositionConflict
-			} else {
-				disp = wire.DispositionRejected
-			}
-		} else if s.mode != fo.ModeFELIP && b.reader.Attr != s.specAttrs[rep.Group] {
-			// Check proved the group in range; a v2 record whose attr does not
-			// name that group's attribute is a confused encoder.
-			disp = wire.DispositionRejected
-			s.wireRejected++
-			s.modeRejected[s.mode.String()]++
-		} else {
-			disp = wire.DispositionAccepted
-			id := string(b.reader.ID)
-			b.seen[id] = len(b.staged)
-			b.staged = append(b.staged, stagedReport{id: id, key: key, rep: rep, bytes: b.reader.RecordBytes()})
-		}
-		dispositions = append(dispositions, disp)
+		err = b.reader.Err()
 	}
-	if err := b.reader.Err(); err != nil {
-		// The envelope checksum held but a record inside lied: a buggy or
-		// hostile encoder. Refuse the frame wholesale — some reports may
-		// already have classified clean, but none were counted.
-		s.wireRejected += wire.FrameReportCount(frame)
-		s.modeRejected[s.mode.String()] += wire.FrameReportCount(frame)
+	if err != nil {
+		s.chargeRejectsLocked(n, charge)
 		s.mu.Unlock()
 		return resp, http.StatusBadRequest, err
 	}
-
-	// Pass 2 — one WAL write for the whole frame, then fold. A failed write
-	// refuses the frame before anything is counted, so the client's retry
-	// cannot double-count.
-	if len(b.staged) > 0 && s.wal != nil {
-		b.recs = b.recs[:0]
-		for i := range b.staged {
-			st := &b.staged[i]
-			b.recs = append(b.recs, reportlog.ReportRecordMode(st.id, st.rep.Group, st.key.proto, st.rep.Value, st.rep.Seed, s.modeName))
-		}
-		if err := s.wal.AppendBatch(b.recs); err != nil {
-			s.mu.Unlock()
-			s.logf("httpapi: wal batch append: %v", err)
-			return resp, http.StatusInternalServerError, fmt.Errorf("report log unavailable")
-		}
+	if status, err := s.admitLocked(b.cands, s.wal); err != nil {
+		s.mu.Unlock()
+		return resp, status, err
 	}
-	for i := range b.staged {
-		st := &b.staged[i]
-		if err := s.col.Add(st.rep); err != nil {
-			// Check passed under this same lock hold; unreachable short of a
-			// bug. Reports staged before this one are counted and logged —
-			// answer the frame as a server error so the client retries and the
-			// dedup index sorts it out.
-			s.mu.Unlock()
-			return resp, http.StatusInternalServerError, err
-		}
-		s.dedup[st.id] = st.key
-		s.wireBytes[st.key.proto] += int64(st.bytes)
-	}
-	s.modeAccepted[s.mode.String()] += len(b.staged)
-	accepted := len(b.staged)
-	wal := s.wal
-	resp.Round = s.round
-	s.mu.Unlock()
-
-	// One fsync per frame, outside the lock so concurrent frames overlap
-	// their disk waits with other shards' classification. The ack only goes
-	// out after the sync: a crash in between loses nothing acknowledged.
-	if accepted > 0 && wal != nil {
-		if err := wal.Sync(); err != nil {
-			s.logf("httpapi: wal batch sync: %v", err)
-			// Counted but not durable and not acknowledged; the retry turns
-			// into all-duplicates.
-			return resp, http.StatusInternalServerError, fmt.Errorf("report log unavailable")
-		}
-	}
-
-	for _, d := range dispositions {
-		switch d {
+	resp.Dispositions = make([]int, len(b.cands))
+	for i, c := range b.cands {
+		resp.Dispositions[i] = c.disp
+		switch c.disp {
 		case wire.DispositionAccepted:
 			resp.Accepted++
 		case wire.DispositionDuplicate:
@@ -242,7 +119,21 @@ func (s *Server) IngestFrame(frame []byte) (wire.BatchReportResponse, int, error
 			resp.Rejected++
 		}
 	}
-	resp.Dispositions = dispositions
+	wal := s.wal
+	resp.Round = s.round
+	s.mu.Unlock()
+
+	// One fsync per frame, outside the lock so concurrent frames overlap
+	// their disk waits with other frames' classification. The ack only goes
+	// out after the sync: a crash in between loses nothing acknowledged.
+	if resp.Accepted > 0 && wal != nil {
+		if err := wal.Sync(); err != nil {
+			s.logf("httpapi: wal batch sync: %v", err)
+			// Counted but not durable and not acknowledged; the retry turns
+			// into all-duplicates.
+			return resp, http.StatusInternalServerError, fmt.Errorf("report log unavailable")
+		}
+	}
 	return resp, http.StatusOK, nil
 }
 
@@ -257,7 +148,9 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// An oversized or unreadable frame is N refused submissions, not one:
 		// charge the header's claim (or 1 if even that is gone).
-		s.countWireRejects(wire.FrameReportCount(buf))
+		s.mu.Lock()
+		s.chargeRejectsLocked(wire.FrameReportCount(buf), s.mode)
+		s.mu.Unlock()
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.writeError(w, http.StatusRequestEntityTooLarge,
@@ -273,14 +166,6 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, status, resp)
-}
-
-// countWireRejects charges n refused report submissions to the rejection
-// counter — a refused batch frame counts every report it claimed to carry.
-func (s *Server) countWireRejects(n int) {
-	s.mu.Lock()
-	s.wireRejected += n
-	s.mu.Unlock()
 }
 
 // readAllInto is io.ReadAll into a caller-owned buffer, so pooled buffers

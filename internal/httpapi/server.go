@@ -62,19 +62,6 @@ var testHookFinalize func()
 // memory.
 const maxReportBody = 64 << 10
 
-// reportKey fingerprints a report's payload so a reused report_id with a
-// different payload can be told apart from an honest retry.
-type reportKey struct {
-	group int
-	proto string
-	value int
-	seed  uint64
-}
-
-func keyOf(m wire.ReportMessage) reportKey {
-	return reportKey{group: m.Group, proto: m.Proto, value: m.Value, seed: m.Seed}
-}
-
 // Server drives FELIP collection rounds over HTTP: an ingest plane (the
 // current round's Collector, guarded by mu) and a serving plane (the last
 // finalized round's engine, behind the QueryPlane's atomic pointer).
@@ -112,9 +99,12 @@ type Server struct {
 	finalN     int
 	wal        *reportlog.Log
 	closed     bool // a WAL was attached and has been closed
-	// dedup spans rounds: a device retrying its round-k report during round
-	// k+1 must be answered "duplicate", not double-counted into a new round.
-	dedup map[string]reportKey
+	// dedup maps each counted report_id to the payload it was counted with,
+	// so a reused ID with a different payload can be told apart from an
+	// honest retry. It spans rounds: a device retrying its round-k report
+	// during round k+1 must be answered "duplicate", not double-counted into a
+	// new round. Only admitLocked writes it.
+	dedup map[string]core.Report
 	// finalizing is non-nil while a finalize is in flight; it closes when
 	// the attempt's outcome is stored. Estimation runs outside mu so status,
 	// health and (refused) reports stay live during finalization.
@@ -200,7 +190,7 @@ func NewServer(schema *domain.Schema, n int, opts core.Options) (*Server, error)
 		specAttrs:    specAttrs,
 		logf:         log.Printf,
 		qp:           NewQueryPlane(schema, log.Printf),
-		dedup:        make(map[string]reportKey),
+		dedup:        make(map[string]core.Report),
 		modeAccepted: make(map[string]int),
 		modeRejected: make(map[string]int),
 		wireBytes:    make(map[string]int64),
@@ -247,57 +237,65 @@ func (s *Server) UseWAL(l *reportlog.Log, records []reportlog.Record) error {
 	return nil
 }
 
+// replayChunk bounds how many replayed records are admitted per admitLocked
+// call, so replaying a large segment holds one chunk of candidates, not the
+// whole segment's.
+const replayChunk = 512
+
 // replayLocked re-counts one WAL segment's records into the current round's
-// collector. Caller holds s.mu.
+// collector through admitLocked, without writing: the caller may still hold
+// the previous segment in s.wal. A record admitLocked would not accept fails
+// the replay with an error naming its index. Caller holds s.mu.
 func (s *Server) replayLocked(records []reportlog.Record) error {
+	cands := make([]candidate, 0, min(len(records), replayChunk))
+	first := 0 // index of cands[0] in records
+	admit := func() error {
+		if len(cands) == 0 {
+			return nil
+		}
+		if _, err := s.admitLocked(cands, nil); err != nil {
+			return fmt.Errorf("httpapi: wal record %d: %w", first, err)
+		}
+		for j, c := range cands {
+			switch c.disp {
+			case wire.DispositionAccepted:
+			case wire.DispositionDuplicate:
+				return fmt.Errorf("httpapi: wal record %d: duplicate report_id %q", first+j, c.id)
+			default:
+				return fmt.Errorf("httpapi: wal record %d: %w", first+j, c.why)
+			}
+		}
+		s.walReplayed += len(cands)
+		cands = cands[:0]
+		return nil
+	}
 	for i, rec := range records {
-		switch rec.Type {
-		case reportlog.TypeReport:
-			if _, dup := s.dedup[rec.ReportID]; dup {
-				return fmt.Errorf("httpapi: wal record %d: duplicate report_id %q", i, rec.ReportID)
-			}
-			// A record's mode must match the round's plan: a segment written
-			// under a different mode holds reports perturbed at a different
-			// budget, and replaying them would silently corrupt the estimates.
-			// Records without a mode (every v1 segment) replay as FELIP.
-			recMode, err := fo.ParseReportMode(rec.Mode)
+		if rec.Type == reportlog.TypeReport {
+			rep, err := s.walReport(rec)
 			if err != nil {
 				return fmt.Errorf("httpapi: wal record %d: %w", i, err)
 			}
-			if recMode != s.mode {
-				return fmt.Errorf("httpapi: wal record %d: mode %v does not match the round's plan mode %v",
-					i, recMode, s.mode)
+			// A record carries no attr claim; its attr was checked on ingest.
+			attr := 0
+			if rep.Group < len(s.specAttrs) {
+				attr = s.specAttrs[rep.Group]
 			}
-			// Same discipline for the longitudinal claim: a segment of
-			// two-stage reports must never fold into a one-shot round (their
-			// values went through the memoized chain, not GRR(ε)), and a
-			// one-shot segment must never fold into a longitudinal round.
-			if rec.Longitudinal != (s.longitudinal != nil) {
-				if rec.Longitudinal {
-					return fmt.Errorf("httpapi: wal record %d: longitudinal report against the round's one-shot plan", i)
+			if len(cands) == 0 {
+				first = i
+			}
+			cands = append(cands, candidate{id: []byte(rec.ReportID), rep: rep, attr: attr})
+			if len(cands) == replayChunk {
+				if err := admit(); err != nil {
+					return err
 				}
-				return fmt.Errorf("httpapi: wal record %d: one-shot report against the round's longitudinal plan", i)
 			}
-			msg := wire.ReportMessage{
-				ReportID: rec.ReportID,
-				Group:    rec.Group,
-				Proto:    rec.Proto,
-				Value:    rec.Value,
-				Seed:     rec.Seed,
-			}
-			if err := msg.Validate(); err != nil {
-				return fmt.Errorf("httpapi: wal record %d: %w", i, err)
-			}
-			rep, err := msg.Report()
-			if err != nil {
-				return fmt.Errorf("httpapi: wal record %d: %w", i, err)
-			}
-			if err := s.col.Add(rep); err != nil {
-				return fmt.Errorf("httpapi: wal record %d: %w", i, err)
-			}
-			s.dedup[rec.ReportID] = keyOf(msg)
-			s.modeAccepted[s.mode.String()]++
-			s.walReplayed++
+			continue
+		}
+		// Reports logged before a finalize record fold before it.
+		if err := admit(); err != nil {
+			return err
+		}
+		switch rec.Type {
 		case reportlog.TypeFinalize:
 			if rec.Reports == 0 && s.col.N() == 0 {
 				// The round was sealed empty. There is no aggregate to rebuild
@@ -315,7 +313,40 @@ func (s *Server) replayLocked(records []reportlog.Record) error {
 			return fmt.Errorf("httpapi: wal record %d: unknown type %q", i, rec.Type)
 		}
 	}
-	return nil
+	return admit()
+}
+
+// walReport is the WAL front end's envelope check: a record's mode and
+// longitudinal flag must match the round's plan — a segment written under
+// another mode holds reports perturbed at a different budget, and a segment
+// of two-stage reports must never fold into a one-shot round (or vice
+// versa); replaying either would silently corrupt the estimates. Records
+// without a mode (every v1 segment) replay as FELIP.
+func (s *Server) walReport(rec reportlog.Record) (core.Report, error) {
+	recMode, err := fo.ParseReportMode(rec.Mode)
+	if err != nil {
+		return core.Report{}, err
+	}
+	if recMode != s.mode {
+		return core.Report{}, fmt.Errorf("mode %v does not match the round's plan mode %v", recMode, s.mode)
+	}
+	if rec.Longitudinal != (s.longitudinal != nil) {
+		if rec.Longitudinal {
+			return core.Report{}, fmt.Errorf("longitudinal report against the round's one-shot plan")
+		}
+		return core.Report{}, fmt.Errorf("one-shot report against the round's longitudinal plan")
+	}
+	msg := wire.ReportMessage{
+		ReportID: rec.ReportID,
+		Group:    rec.Group,
+		Proto:    rec.Proto,
+		Value:    rec.Value,
+		Seed:     rec.Seed,
+	}
+	if err := msg.Validate(); err != nil {
+		return core.Report{}, err
+	}
+	return msg.Report()
 }
 
 // finalizeReplayLocked re-closes the current round during startup replay —
@@ -451,6 +482,89 @@ func (s *Server) ResumeNextRound(l *reportlog.Log, records []reportlog.Record) (
 	return s.round, nil
 }
 
+// ReplaySegments recovers a fresh server from its WAL segment chain at
+// startup and leaves it durable — the one chain replay a restarted node and a
+// promoted follower share. The first segment attaches through UseWAL and each
+// later one through ResumeNextRound, in round order; a server restored from an
+// archive snapshot (RestoreArchivedRound) replays only the segments past the
+// restored round, each through ResumeNextRound. A chain with no segments
+// opens a fresh one in joinRound, the round the node joined the deployment
+// in (1 for a node that was there from the start). A missing round inside the
+// chain is refused: replaying past a gap would serve a history with reports
+// silently missing.
+//
+// ReplaySegments also registers the chain as the server's replication source
+// and NextRound's segment opener, and warms the serving engine. It returns
+// the number of WAL records replayed.
+func (s *Server) ReplaySegments(segs *reportlog.Segments, joinRound int) (int, error) {
+	rounds, err := segs.Existing()
+	if err != nil {
+		return 0, err
+	}
+	s.mu.Lock()
+	after := 0 // the restored round, covered by its snapshot
+	if s.restored {
+		after = s.round
+	}
+	s.segments = segs
+	s.walFactory = func(round int) (*reportlog.Log, error) {
+		l, recs, err := segs.Open(round)
+		if err != nil {
+			return nil, err
+		}
+		if len(recs) > 0 {
+			l.Close()
+			return nil, fmt.Errorf("segment %s already has %d records; refusing to reuse it for a new round", segs.Path(round), len(recs))
+		}
+		return l, nil
+	}
+	// With a restored round and no tail, the next round must still open a
+	// segment.
+	s.durable = true
+	s.mu.Unlock()
+
+	for len(rounds) > 0 && rounds[0] <= after {
+		rounds = rounds[1:] // truncation is retried at the next finalize
+	}
+	expect := after + 1
+	if after == 0 {
+		expect = max(joinRound, 1)
+		if len(rounds) > 0 {
+			expect = rounds[0]
+		} else {
+			rounds = []int{expect} // opened fresh
+		}
+		if expect > 1 {
+			if err := s.BeginAtRound(expect); err != nil {
+				return 0, err
+			}
+		}
+	}
+	replayed := 0
+	for _, round := range rounds {
+		if round != expect {
+			return replayed, fmt.Errorf("httpapi: wal segment chain has a gap: expected round %d, found %s", expect, segs.Path(round))
+		}
+		l, recs, err := segs.Open(round)
+		if err != nil {
+			return replayed, err
+		}
+		if round == rounds[0] && after == 0 {
+			err = s.UseWAL(l, recs)
+		} else {
+			_, err = s.ResumeNextRound(l, recs)
+		}
+		if err != nil {
+			l.Close()
+			return replayed, fmt.Errorf("httpapi: replaying %s: %w", segs.Path(round), err)
+		}
+		s.logf("httpapi: round %d: replayed %d WAL records from %s", round, len(recs), segs.Path(round))
+		replayed += len(recs)
+		expect++
+	}
+	return replayed, s.WarmupServing()
+}
+
 // SetWALFactory registers the opener NextRound uses to create round k's WAL
 // segment on a durable server.
 func (s *Server) SetWALFactory(f func(round int) (*reportlog.Log, error)) {
@@ -530,20 +644,6 @@ func (s *Server) handleAssign(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]int{"group": col.AssignGroup()})
 }
 
-// countWireReject records a report submission refused before it reached the
-// collector's plan validation, charged to the round's own mode.
-func (s *Server) countWireReject() { s.countWireRejectMode(s.mode.String()) }
-
-// countWireRejectMode is countWireReject charged to a specific mode's
-// counter — a report refused for claiming a foreign mode is charged to the
-// mode it claimed, so the operator can see whose traffic is being refused.
-func (s *Server) countWireRejectMode(key string) {
-	s.mu.Lock()
-	s.wireRejected++
-	s.modeRejected[key]++
-	s.mu.Unlock()
-}
-
 // countingReader counts the bytes read through it — the single-report
 // path's measure of a report's on-the-wire cost.
 type countingReader struct {
@@ -557,134 +657,70 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// handleReport is the JSON front end: it checks the body's envelope (decode,
+// Validate, mode and longitudinal claims, missing attr) and hands the report
+// to admitLocked. The ack follows the unsynced WAL write.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+	// refuse answers an envelope failure, charged to the mode the report
+	// claimed (the round's own when the claim is unreadable).
+	refuse := func(status int, mode fo.ReportMode, err error) {
+		s.mu.Lock()
+		s.chargeRejectsLocked(1, mode)
+		s.mu.Unlock()
+		s.writeError(w, status, err)
+	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxReportBody)
 	body := &countingReader{r: r.Body}
 	var msg wire.ReportMessage
 	if err := json.NewDecoder(body).Decode(&msg); err != nil {
-		s.countWireReject()
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("report body exceeds %d bytes", tooBig.Limit))
+			refuse(http.StatusRequestEntityTooLarge, s.mode, fmt.Errorf("report body exceeds %d bytes", tooBig.Limit))
 			return
 		}
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("invalid report body: %w", err))
+		refuse(http.StatusBadRequest, s.mode, fmt.Errorf("invalid report body: %w", err))
 		return
 	}
 	if err := msg.Validate(); err != nil {
-		s.countWireReject()
-		s.writeError(w, http.StatusBadRequest, err)
+		refuse(http.StatusBadRequest, s.mode, err)
 		return
 	}
-	rep, err := msg.Report()
-	if err != nil {
-		s.countWireReject()
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Validate already proved the claim parses.
+	// Validate proved the protocol and the mode claim parse.
+	rep, _ := msg.Report()
 	repMode, _ := fo.ParseReportMode(msg.Mode)
-	if repMode != s.mode {
-		s.countWireRejectMode(repMode.String())
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("report claims mode %v; the round's plan runs %v", repMode, s.mode))
+	switch {
+	case repMode != s.mode:
+		refuse(http.StatusBadRequest, repMode, fmt.Errorf("report claims mode %v; the round's plan runs %v", repMode, s.mode))
+		return
+	case msg.Longitudinal && s.longitudinal == nil:
+		refuse(http.StatusBadRequest, s.mode, fmt.Errorf("report claims longitudinal reporting; the round's plan is one-shot"))
+		return
+	case !msg.Longitudinal && s.longitudinal != nil:
+		refuse(http.StatusBadRequest, s.mode, fmt.Errorf("one-shot report refused: the round's plan is longitudinal (memoized two-stage)"))
+		return
+	case s.mode != fo.ModeFELIP && msg.Attr == nil:
+		refuse(http.StatusBadRequest, s.mode, fmt.Errorf("%v report missing attr", s.mode))
 		return
 	}
-	if msg.Longitudinal != (s.longitudinal != nil) {
-		s.countWireReject()
-		if msg.Longitudinal {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Errorf("report claims longitudinal reporting; the round's plan is one-shot"))
-		} else {
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Errorf("one-shot report refused: the round's plan is longitudinal (memoized two-stage)"))
-		}
-		return
-	}
-	if s.mode != fo.ModeFELIP {
-		if msg.Attr == nil {
-			s.countWireReject()
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("%v report missing attr", s.mode))
-			return
-		}
-		if msg.Group >= 0 && msg.Group < len(s.specAttrs) && *msg.Attr != s.specAttrs[msg.Group] {
-			s.countWireReject()
-			s.writeError(w, http.StatusBadRequest,
-				fmt.Errorf("report attr %d does not match group %d's attribute %d",
-					*msg.Attr, msg.Group, s.specAttrs[msg.Group]))
-			return
-		}
+	cand := []candidate{{id: []byte(msg.ReportID), rep: rep, bytes: int(body.n)}}
+	if msg.Attr != nil {
+		cand[0].attr = *msg.Attr
 	}
 
 	s.mu.Lock()
-	if prev, seen := s.dedup[msg.ReportID]; seen {
-		if prev != keyOf(msg) {
-			s.wireRejected++
-			s.modeRejected[s.mode.String()]++
-			s.mu.Unlock()
-			s.writeError(w, http.StatusConflict,
-				fmt.Errorf("report_id %q reused with a different payload", msg.ReportID))
-			return
-		}
-		s.mu.Unlock()
+	status, err := s.admitLocked(cand, s.wal)
+	s.mu.Unlock()
+	switch c := cand[0]; {
+	case err != nil:
+		s.writeError(w, status, err)
+	case c.disp == wire.DispositionAccepted:
+		w.WriteHeader(http.StatusNoContent)
+	case c.disp == wire.DispositionDuplicate:
 		// An honest retry: already counted, tell the device it can stop.
 		s.writeJSON(w, http.StatusOK, map[string]string{"status": "duplicate"})
-		return
+	default:
+		s.writeError(w, c.disp, c.why)
 	}
-	if s.agg != nil || s.finalizing != nil || s.shardState != nil || s.sealedEmpty {
-		// Finalized, sealed as a shard, or a finalize is in flight: the round
-		// is closing and the
-		// collector may not have sealed itself yet, so refuse here — otherwise
-		// a report could slip in after the operator asked to close and before
-		// the collector's snapshot, and be silently absent from the published
-		// estimates.
-		s.mu.Unlock()
-		s.writeError(w, http.StatusConflict, core.ErrFinalized)
-		return
-	}
-	if s.closed {
-		s.mu.Unlock()
-		s.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("server shutting down"))
-		return
-	}
-	// Validate against the plan first so the WAL only ever receives reports
-	// the collector is guaranteed to accept on replay.
-	if err := s.col.Check(rep); err != nil {
-		s.mu.Unlock()
-		// During an in-flight finalize s.agg is still nil but the collector
-		// already refuses reports; that is a round-state conflict, not a bad
-		// request.
-		if errors.Is(err, core.ErrFinalized) {
-			s.writeError(w, http.StatusConflict, err)
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if s.wal != nil {
-		rec := reportlog.ReportRecordMode(msg.ReportID, msg.Group, msg.Proto, msg.Value, msg.Seed, s.modeName)
-		rec.Longitudinal = msg.Longitudinal
-		if err := s.wal.Append(rec); err != nil {
-			s.mu.Unlock()
-			s.logf("httpapi: wal append: %v", err)
-			// Not counted, not acknowledged: the device will retry.
-			s.writeError(w, http.StatusInternalServerError, fmt.Errorf("report log unavailable"))
-			return
-		}
-	}
-	if err := s.col.Add(rep); err != nil {
-		// Check passed under the same lock; this is unreachable short of a
-		// bug, and the WAL record is harmless (replay revalidates).
-		s.mu.Unlock()
-		s.writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.dedup[msg.ReportID] = keyOf(msg)
-	s.modeAccepted[s.mode.String()]++
-	s.wireBytes[msg.Proto] += body.n
-	s.mu.Unlock()
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // finalize closes the round once; subsequent calls return the same count.

@@ -1,6 +1,7 @@
 package reportlog
 
 import (
+	"encoding/json"
 	"os"
 	"reflect"
 	"testing"
@@ -162,5 +163,86 @@ func TestAppendBatchEmpty(t *testing.T) {
 	}
 	if l.Pos() != 0 {
 		t.Fatalf("empty batch moved pos to %d", l.Pos())
+	}
+}
+
+// TestAppendBatchBytesMatchMarshal pins AppendBatch's encoder to
+// json.Marshal byte for byte, record by record: zero group, value and seed
+// are omitted exactly as the omitempty tags omit them, and the mode and
+// longitudinal fields land in struct order. Each record is also written with
+// Append, so the file a batch leaves is the file a run of singles leaves.
+func TestAppendBatchBytesMatchMarshal(t *testing.T) {
+	cases := []struct {
+		name string
+		rec  Record
+	}{
+		{"all zero", ReportRecord("dev-0", 0, "GRR", 0, 0)},
+		{"zero group", ReportRecord("dev-1", 0, "OLH", 3, 42)},
+		{"zero value", ReportRecord("dev-2", 4, "OLH", 0, 42)},
+		{"zero seed", ReportRecord("dev-3", 2, "GRR", 7, 0)},
+		{"all nonzero", ReportRecord("dev-4", 5, "OLH", 9, 1<<63+5)},
+		{"negative value", ReportRecord("dev-5", 1, "GRR", -3, 0)},
+		{"mode", ReportRecordMode("dev-6", 3, "GRR", 0, 0, "SPL")},
+		{"mode nonzero", ReportRecordMode("dev-7", 3, "OLH", 2, 11, "RS+FD")},
+		{"longitudinal", ReportRecordLongitudinal("dev-8", 0, "GRR", 0, 0)},
+		{"longitudinal nonzero", ReportRecordLongitudinal("dev-9", 6, "GRR", 12, 0)},
+		{"empty id", ReportRecord("", 1, "GRR", 1, 1)},
+		{"html-escaped id", ReportRecord("a<b>&c", 1, "GRR", 1, 1)},
+		{"quoted id", ReportRecord(`q"\`, 0, "HR", 1, 1)},
+		{"finalize", FinalizeRecord(17)},
+		{"empty finalize", FinalizeRecord(0)},
+	}
+	var batch []Record
+	var want []byte
+	for _, tc := range cases {
+		payload, err := json.Marshal(tc.rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendFramedRecord(nil, &tc.rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got[headerLen:]) != string(payload) {
+			t.Errorf("%s: AppendBatch encodes %s, json.Marshal %s", tc.name, got[headerLen:], payload)
+		}
+		batch = append(batch, tc.rec)
+		want = append(want, got...)
+	}
+
+	singles := tmpLog(t)
+	ls, _, err := Open(singles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range batch {
+		if err := ls.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ls.Close(); err != nil {
+		t.Fatal(err)
+	}
+	batched := tmpLog(t)
+	lb, _, err := Open(batched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lb.AppendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := lb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fromSingles, err := os.ReadFile(singles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBatch, err := os.ReadFile(batched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(fromBatch) != string(fromSingles) || string(fromBatch) != string(want) {
+		t.Fatalf("batch file (%d bytes) differs from the singles file (%d bytes)", len(fromBatch), len(fromSingles))
 	}
 }

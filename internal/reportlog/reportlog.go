@@ -22,6 +22,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -174,24 +175,31 @@ func (l *Log) Append(rec Record) error {
 }
 
 // AppendBatch encodes every record into one buffer and hands it to the OS in
-// a single Write call — the batch-ingest durability step: one write (and one
-// caller-issued Sync) per frame instead of per report. The on-disk format is
-// unchanged — the same framed records Append writes, so replay, shipping,
-// and verification cannot tell a batch from a run of singles. A crash can
-// tear the batch mid-write; whole records before the tear replay normally
-// (Open truncates at the tear), and a retried frame's dedup keys make the
-// re-ingest exactly-once.
+// a single Write call — one write (and at most one caller-issued Sync) per
+// batch instead of per record. The bytes are exactly those a run of Append
+// calls would write, so replay, shipping, and verification cannot tell a
+// batch from a run of singles. A crash can tear the batch mid-write; whole
+// records before the tear replay normally (Open truncates at the tear), and a
+// retried batch's dedup keys make the re-ingest exactly-once.
 //
-// Report records are encoded with a hand-rolled JSON writer (no per-record
-// json.Marshal allocation) that produces what encoding/json parses back to
-// the identical Record; other record types fall back to json.Marshal.
+// Records are encoded with a hand-rolled JSON writer (no per-record
+// json.Marshal allocation) that reproduces json.Marshal's output byte for
+// byte: same field order, zero fields omitted; records whose strings would
+// need escaping fall back to json.Marshal.
 func (l *Log) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
+	// Size the buffer once for the whole batch — a report record's fixed
+	// fields stay well under 160 bytes — so encoding never regrows it
+	// mid-batch, and a steady stream of batches never regrows it at all.
+	need := 0
+	for i := range recs {
+		need += headerLen + 160 + len(recs[i].ReportID) + len(recs[i].Mode)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	buf := l.batchBuf[:0]
+	buf := slices.Grow(l.batchBuf[:0], need)
 	var err error
 	for i := range recs {
 		buf, err = appendFramedRecord(buf, &recs[i])
@@ -209,31 +217,28 @@ func (l *Log) AppendBatch(recs []Record) error {
 }
 
 // appendFramedRecord appends one record's frame (header + JSON payload) to
-// buf, avoiding json.Marshal for the report records the batch hot path
-// writes.
+// buf, avoiding json.Marshal for every record whose strings need no escaping.
 func appendFramedRecord(buf []byte, rec *Record) ([]byte, error) {
 	frameStart := len(buf)
 	buf = append(buf, make([]byte, headerLen)...)
 	payloadStart := len(buf)
-	if rec.Type == TypeReport && jsonSafe(rec.ReportID) && jsonSafe(rec.Proto) && jsonSafe(rec.Mode) {
-		buf = append(buf, `{"type":"report","report_id":"`...)
-		buf = append(buf, rec.ReportID...)
-		buf = append(buf, `","group":`...)
-		buf = strconv.AppendInt(buf, int64(rec.Group), 10)
-		buf = append(buf, `,"proto":"`...)
-		buf = append(buf, rec.Proto...)
-		buf = append(buf, `","value":`...)
-		buf = strconv.AppendInt(buf, int64(rec.Value), 10)
-		buf = append(buf, `,"seed":`...)
-		buf = strconv.AppendUint(buf, rec.Seed, 10)
-		if rec.Mode != "" {
-			buf = append(buf, `,"mode":"`...)
-			buf = append(buf, rec.Mode...)
-			buf = append(buf, '"')
+	if jsonSafe(rec.Type) && jsonSafe(rec.ReportID) && jsonSafe(rec.Proto) && jsonSafe(rec.Mode) {
+		buf = append(buf, `{"type":"`...)
+		buf = append(buf, rec.Type...)
+		buf = append(buf, '"')
+		buf = appendString(buf, `,"report_id":"`, rec.ReportID)
+		buf = appendInt(buf, `,"group":`, int64(rec.Group))
+		buf = appendString(buf, `,"proto":"`, rec.Proto)
+		buf = appendInt(buf, `,"value":`, int64(rec.Value))
+		if rec.Seed != 0 {
+			buf = append(buf, `,"seed":`...)
+			buf = strconv.AppendUint(buf, rec.Seed, 10)
 		}
+		buf = appendString(buf, `,"mode":"`, rec.Mode)
 		if rec.Longitudinal {
 			buf = append(buf, `,"longitudinal":true`...)
 		}
+		buf = appendInt(buf, `,"reports":`, int64(rec.Reports))
 		buf = append(buf, '}')
 	} else {
 		payload, err := json.Marshal(rec)
@@ -251,13 +256,32 @@ func appendFramedRecord(buf []byte, rec *Record) ([]byte, error) {
 	return buf, nil
 }
 
-// jsonSafe reports whether s can be embedded in a JSON string without
-// escaping — true for every ID wire.NewReportID mints; anything exotic
-// falls back to the standard encoder.
+// appendString appends an omitempty string field (key carries the opening
+// quote of the value); appendInt an omitempty integer field.
+func appendString(buf []byte, key, v string) []byte {
+	if v == "" {
+		return buf
+	}
+	buf = append(buf, key...)
+	buf = append(buf, v...)
+	return append(buf, '"')
+}
+
+func appendInt(buf []byte, key string, v int64) []byte {
+	if v == 0 {
+		return buf
+	}
+	return strconv.AppendInt(append(buf, key...), v, 10)
+}
+
+// jsonSafe reports whether json.Marshal would embed s in a JSON string
+// verbatim — true for every ID wire.NewReportID mints. Control characters,
+// quotes, backslashes, non-ASCII bytes and the HTML-sensitive <, > and &
+// (which json.Marshal escapes) take the standard encoder instead.
 func jsonSafe(s string) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
-		if c < 0x20 || c >= 0x7F || c == '"' || c == '\\' {
+		if c < 0x20 || c >= 0x7F || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			return false
 		}
 	}

@@ -324,8 +324,9 @@ func FrameReportCount(b []byte) int {
 
 // FrameReader iterates a binary batch frame without allocating per report:
 // Reset validates the envelope (magic, bounds, checksum) up front, and each
-// Next fills the reader's reusable ID/Report fields in place — ID aliases
-// the frame buffer and is only valid until the following Next.
+// Next fills the reader's reusable ID/Report fields in place — ID is a
+// sub-slice of the frame buffer, so it stays valid (and unchanged) across
+// later Next calls for as long as the frame buffer is.
 type FrameReader struct {
 	payload []byte
 	count   int
